@@ -5,10 +5,11 @@
 //! Writes `BENCH_engine.json` into the working directory so the numbers
 //! land in the repo's perf trajectory. `scripts/check_bench.sh` re-runs
 //! this binary (with `BENCH_QUICK=1` for fewer repetitions) to gate the
-//! lenient overhead and the incremental speedup in CI.
+//! lenient overhead, the incremental speedup, and the growth exponents
+//! of the batch path's catalog-wide stages in CI.
 
 use lineagex_bench::{section, table2};
-use lineagex_core::{DialectKind, LineageX};
+use lineagex_core::{lineagex, DialectKind, LineageX, QueryDict};
 use lineagex_datasets::{generate_scaled, generator, GeneratorConfig, ScaleConfig};
 use lineagex_engine::{Engine, EngineOptions};
 use lineagex_sqlparse::ast::{Expr, Literal, Statement};
@@ -78,6 +79,10 @@ struct ScaleReport {
     cold_start_ms_10k: f64,
     cold_start_speedup_10k: f64,
     peak_graph_bytes_10k: i64,
+    /// `log2(t(20k) / t(10k))` of `LineageGraph::stats()`: 1 is linear.
+    stats_growth_10k: f64,
+    /// `log2(t(20k) / t(10k))` of `QueryDict::from_sql` (parse included).
+    querydict_growth_10k: f64,
 }
 
 fn best_of<R>(reps: usize, mut f: impl FnMut() -> R) -> Duration {
@@ -127,6 +132,32 @@ fn paired<A, B>(
         best_b = best_b.min(tb);
     }
     (best_a, best_b, best_b.as_secs_f64() - best_a.as_secs_f64())
+}
+
+/// Growth exponent `log2(t(big) / t(small))` of one stage run on inputs
+/// of n and 2n views, from the median of each side over interleaved
+/// pairs (the in-pair order alternating, as in [`paired`]).
+fn growth_exponent<A, B>(
+    pairs: usize,
+    mut small: impl FnMut() -> A,
+    mut big: impl FnMut() -> B,
+) -> f64 {
+    let mut smalls = Vec::with_capacity(pairs);
+    let mut bigs = Vec::with_capacity(pairs);
+    for i in 0..pairs {
+        if i % 2 == 0 {
+            smalls.push(time_once(&mut small));
+            bigs.push(time_once(&mut big));
+        } else {
+            bigs.push(time_once(&mut big));
+            smalls.push(time_once(&mut small));
+        }
+    }
+    let median = |mut times: Vec<Duration>| {
+        times.sort();
+        times[times.len() / 2].as_secs_f64()
+    };
+    (median(bigs) / median(smalls)).log2()
 }
 
 fn qps(views: usize, elapsed: Duration) -> f64 {
@@ -381,6 +412,13 @@ fn main() {
                 ),
             ),
             ("peak graph + index bytes".into(), format!("{}", report.scale.peak_graph_bytes_10k)),
+            (
+                "growth 10k -> 20k: stats / QueryDict".into(),
+                format!(
+                    "{:.2} / {:.2} (1 = linear)",
+                    report.scale.stats_growth_10k, report.scale.querydict_growth_10k
+                ),
+            ),
         ],
     );
 
@@ -455,6 +493,20 @@ fn run_scale_tier(reps: usize) -> ScaleReport {
     std::fs::remove_file(&snapshot_path).ok();
 
     let peak_graph_bytes = lineagex_obs::registry().gauge("engine.peak_graph_bytes").get();
+    drop(sharded);
+
+    // Batch-path stages that once grew quadratically with the catalog,
+    // timed at 10k and 20k views of the same generator.
+    let growth_pairs = (2 * reps + 1).max(3);
+    let sql_20k = generate_scaled(&ScaleConfig::with_views(31, 2 * SCALE_VIEWS)).full_sql();
+    let querydict_growth = growth_exponent(
+        growth_pairs,
+        || QueryDict::from_sql(&sql).unwrap(),
+        || QueryDict::from_sql(&sql_20k).unwrap(),
+    );
+    let graph_10k = lineagex(&sql).unwrap().graph;
+    let graph_20k = lineagex(&sql_20k).unwrap().graph;
+    let stats_growth = growth_exponent(growth_pairs, || graph_10k.stats(), || graph_20k.stats());
 
     ScaleReport {
         views_10k: config.views(),
@@ -473,5 +525,7 @@ fn run_scale_tier(reps: usize) -> ScaleReport {
         cold_start_ms_10k: ms(cold_start),
         cold_start_speedup_10k: cold_start.as_secs_f64() / load.as_secs_f64(),
         peak_graph_bytes_10k: peak_graph_bytes,
+        stats_growth_10k: stats_growth,
+        querydict_growth_10k: querydict_growth,
     }
 }

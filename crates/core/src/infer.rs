@@ -126,9 +126,22 @@ impl<'a> InferenceEngine<'a> {
                 stack.pop();
                 continue;
             }
-            let entry = self.qd.get(&id).expect("id comes from the dictionary").clone();
-            match self.try_extract(&entry) {
-                Ok(lineage) => {
+            // Borrowed: a deferred entry is attempted once per missing
+            // dependency, and its AST is large.
+            let entry = self.qd.get(&id).expect("id comes from the dictionary");
+            let extracted = extract_entry(
+                entry,
+                &self.qd_ids,
+                &self.processed,
+                self.catalog.as_ref(),
+                &self.options,
+                &mut self.inferred,
+            );
+            match extracted {
+                Ok((lineage, trace)) => {
+                    if let Some(trace) = trace {
+                        self.traces.insert(id.clone(), trace);
+                    }
                     self.processed.insert(id.clone(), lineage);
                     self.order.push(id.clone());
                     stack.pop();
@@ -143,7 +156,7 @@ impl<'a> InferenceEngine<'a> {
                         // Lenient: break the cycle by stubbing the entry
                         // that closed it; the rest of the cycle then
                         // resolves against the stub (empty outputs).
-                        let stub = cycle_stub(&entry, &path);
+                        let stub = cycle_stub(entry, &path);
                         self.processed.insert(id.clone(), stub);
                         self.order.push(id.clone());
                         stack.pop();
@@ -156,21 +169,6 @@ impl<'a> InferenceEngine<'a> {
             }
         }
         Ok(())
-    }
-
-    fn try_extract(&mut self, entry: &QueryEntry) -> Result<QueryLineage, LineageError> {
-        let (lineage, trace) = extract_entry(
-            entry,
-            &self.qd_ids,
-            &self.processed,
-            self.catalog.as_ref(),
-            &self.options,
-            &mut self.inferred,
-        )?;
-        if let Some(trace) = trace {
-            self.traces.insert(entry.id.clone(), trace);
-        }
-        Ok(lineage)
     }
 
     fn assemble(self) -> LineageResult {

@@ -14,7 +14,9 @@
 use crate::diagnostics::Diagnostic;
 pub use lineagex_catalog::SourceColumn;
 use serde::Serialize;
-use std::collections::{BTreeMap, BTreeSet};
+use std::borrow::Cow;
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// How an input column participates in an output column's lineage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
@@ -193,7 +195,9 @@ impl LineageGraph {
         let kind = NodeKind::for_query(&lineage.kind);
         let columns = lineage.outputs.iter().map(|o| o.name.clone()).collect();
         self.nodes.insert(lineage.id.clone(), Node { name: lineage.id.clone(), kind, columns });
-        if !self.order.iter().any(|id| id == &lineage.id) {
+        // `order` lists exactly the keys of `queries`, so a query is new
+        // iff its id is not a key yet.
+        if !self.queries.contains_key(&lineage.id) {
             self.order.push(lineage.id.clone());
         }
         self.queries.insert(lineage.id.clone(), lineage);
@@ -262,8 +266,8 @@ impl LineageGraph {
     /// sorted and **deduplicated** — a relation scanned several ways by
     /// one query (self-joins, CTE re-use, set-operation branches)
     /// produces exactly one pair. Consumers (viz renderers, the
-    /// table-level traversal, [`GraphStats::max_pipeline_depth`]) rely
-    /// on the set semantics; the unit tests pin it.
+    /// table-level traversal) rely on the set semantics; the unit tests
+    /// pin it.
     pub fn table_edges(&self) -> Vec<(String, String)> {
         let mut out = BTreeSet::new();
         for q in self.queries.values() {
@@ -411,6 +415,21 @@ impl LineageGraph {
     }
 
     /// Summary statistics of the graph (for reports and the CLI).
+    ///
+    /// One pass over the queries, intersecting each distinct output
+    /// name's `C_con` with the query's `C_ref`, and one pass over
+    /// [`Self::order`] reading each query's tables: O(Σ outputs ×
+    /// (|`C_con`| + |`C_ref`|) + tables), never materialising
+    /// [`Self::all_edges`]. The edge counts equal the kind
+    /// counts of `all_edges()`: an edge's target `(q.id, output)` belongs
+    /// to exactly one query, so the global dedup is a per-query one,
+    /// where same-named outputs merge their `C_con` sets.
+    ///
+    /// `max_pipeline_depth` follows *processing order*: each query in
+    /// `order` is one deeper than the deepest relation it scans, where a
+    /// relation not yet seen in `order` (a base table, an external, or a
+    /// query later in a non-topological order) counts as depth 0, and a
+    /// query scanning nothing has depth 1.
     pub fn stats(&self) -> GraphStats {
         let mut by_kind = BTreeMap::new();
         for node in self.nodes.values() {
@@ -419,23 +438,33 @@ impl LineageGraph {
         let mut contribute = 0usize;
         let mut reference = 0usize;
         let mut both = 0usize;
-        for edge in self.all_edges() {
-            match edge.kind {
-                EdgeKind::Contribute => contribute += 1,
-                EdgeKind::Reference => reference += 1,
-                EdgeKind::Both => both += 1,
+        for q in self.queries.values() {
+            let mut ccon_by_name: BTreeMap<&str, Cow<'_, BTreeSet<SourceColumn>>> = BTreeMap::new();
+            for out in &q.outputs {
+                match ccon_by_name.entry(out.name.as_str()) {
+                    Entry::Vacant(slot) => {
+                        slot.insert(Cow::Borrowed(&out.ccon));
+                    }
+                    Entry::Occupied(mut slot) => {
+                        slot.get_mut().to_mut().extend(out.ccon.iter().cloned());
+                    }
+                }
+            }
+            for ccon in ccon_by_name.values() {
+                let shared = ccon.intersection(&q.cref).count();
+                contribute += ccon.len() - shared;
+                reference += q.cref.len() - shared;
+                both += shared;
             }
         }
-        // Pipeline depth: longest chain of table-level edges.
-        let table_edges = self.table_edges();
-        let mut depth: BTreeMap<&str, usize> = BTreeMap::new();
-        // Iterate in processing order so upstream depths exist first.
+        let mut depth: HashMap<&str, usize> = HashMap::with_capacity(self.order.len());
         for id in &self.order {
-            let d = table_edges
-                .iter()
-                .filter(|(_, to)| to == id)
-                .map(|(from, _)| depth.get(from.as_str()).copied().unwrap_or(0) + 1)
-                .max()
+            let d = self
+                .queries
+                .get(id)
+                .and_then(|q| {
+                    q.tables.iter().map(|t| depth.get(t.as_str()).map_or(1, |d| d + 1)).max()
+                })
                 .unwrap_or(1);
             depth.insert(id, d);
         }
@@ -626,6 +655,34 @@ mod tests {
         let again = g.queries["v"].clone();
         g.merge_query(again);
         assert_eq!(g.order, vec!["v"]);
+    }
+
+    #[test]
+    fn merge_sequences_keep_order_and_queries_in_step() {
+        fn assert_in_step(g: &LineageGraph) {
+            let order: BTreeSet<&String> = g.order.iter().collect();
+            assert_eq!(order.len(), g.order.len(), "duplicate in order: {:?}", g.order);
+            assert_eq!(order, g.queries.keys().collect::<BTreeSet<_>>());
+        }
+        let mut g = sample_graph();
+        let v = g.queries["v"].clone();
+        let mut w = v.clone();
+        w.id = "w".into();
+        g.merge_query(w.clone());
+        assert_in_step(&g);
+        g.retract_query("v").unwrap();
+        assert_in_step(&g);
+        g.merge_query(v.clone());
+        assert_in_step(&g);
+        assert_eq!(g.order, vec!["w", "v"]);
+        // Redefinition replaces the record in place: no new order slot.
+        let mut redefined = v;
+        redefined.cref.clear();
+        g.merge_query(redefined.clone());
+        g.merge_query(w);
+        assert_in_step(&g);
+        assert_eq!(g.order, vec!["w", "v"]);
+        assert_eq!(g.queries["v"], redefined);
     }
 
     #[test]

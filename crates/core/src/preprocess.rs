@@ -30,6 +30,7 @@ use lineagex_sqlparse::ast::{Query, SpannedStatement, Statement};
 use lineagex_sqlparse::{
     parse_sql_spanned_with, parse_statements_recovering_with, DialectKind, Span,
 };
+use std::collections::HashMap;
 
 /// One entry of the Query Dictionary.
 #[derive(Debug, Clone)]
@@ -232,6 +233,9 @@ fn unique_target_id(base: &str, taken: &mut dyn FnMut(&str) -> bool) -> String {
 #[derive(Debug, Clone, Default)]
 pub struct QueryDict {
     entries: Vec<QueryEntry>,
+    /// Id → slot in `entries`, so lookups and duplicate checks are O(1)
+    /// instead of a scan of the log.
+    slots: HashMap<String, usize>,
     /// Base-table schemas found in the log (plain `CREATE TABLE`).
     pub ddl_catalog: Catalog,
     /// Diagnostics produced during preprocessing: skipped statements,
@@ -352,9 +356,9 @@ impl QueryDict {
         let mut anon_counter = 0usize;
         for (source_name, stmt) in statements {
             let preprocessed = {
-                let entries = &dict.entries;
+                let slots = &dict.slots;
                 preprocess_statement(stmt, source_name.as_deref(), &mut anon_counter, &mut |id| {
-                    entries.iter().any(|e| e.id == id)
+                    slots.contains_key(id)
                 })
             };
             match preprocessed {
@@ -374,7 +378,8 @@ impl QueryDict {
     }
 
     fn push(&mut self, entry: QueryEntry, lenient: bool) -> Result<(), LineageError> {
-        let Some(existing) = self.entries.iter().position(|e| e.id == entry.id) else {
+        let Some(&existing) = self.slots.get(&entry.id) else {
+            self.slots.insert(entry.id.clone(), self.entries.len());
             self.entries.push(entry);
             return Ok(());
         };
@@ -397,14 +402,14 @@ impl QueryDict {
         Ok(())
     }
 
-    /// Whether `id` names a dictionary entry.
+    /// Whether `id` names a dictionary entry. O(1).
     pub fn contains(&self, id: &str) -> bool {
-        self.entries.iter().any(|e| e.id == id)
+        self.slots.contains_key(id)
     }
 
-    /// Look an entry up by id.
+    /// Look an entry up by id. O(1).
     pub fn get(&self, id: &str) -> Option<&QueryEntry> {
-        self.entries.iter().find(|e| e.id == id)
+        self.slots.get(id).map(|&slot| &self.entries[slot])
     }
 
     /// Entries in log order.
@@ -484,27 +489,97 @@ mod tests {
 
     #[test]
     fn duplicate_view_name_errors_strictly() {
-        let err = QueryDict::from_sql("CREATE VIEW v AS SELECT 1; CREATE VIEW v AS SELECT 2")
-            .unwrap_err();
-        assert!(matches!(err, LineageError::DuplicateQueryId(id) if id == "v"));
+        for sql in [
+            "CREATE VIEW v AS SELECT 1; CREATE VIEW v AS SELECT 2",
+            "CREATE VIEW v AS SELECT 1; SELECT 2; CREATE TABLE v AS SELECT 3",
+            "INSERT INTO v SELECT 1; CREATE VIEW v AS SELECT 2",
+        ] {
+            let err = QueryDict::from_sql(sql).unwrap_err();
+            assert!(matches!(&err, LineageError::DuplicateQueryId(id) if id == "v"), "{sql}");
+        }
+        let err =
+            QueryDict::from_named_sources([("m", "SELECT 1"), ("m", "SELECT 2")]).unwrap_err();
+        assert!(matches!(err, LineageError::DuplicateQueryId(id) if id == "m"));
     }
 
     #[test]
     fn duplicate_view_name_is_last_definition_wins_leniently() {
         let qd = QueryDict::from_sql_lenient(
-            "CREATE VIEW v AS SELECT 1 AS a;\nCREATE VIEW v AS SELECT 2 AS b;",
+            "CREATE VIEW a AS SELECT 1 AS x;\nCREATE VIEW v AS SELECT 1 AS old;\n\
+             SELECT 3 AS y;\nCREATE VIEW v AS SELECT 2 AS new;\nSELECT 4 AS z;",
         );
-        assert_eq!(qd.len(), 1);
-        // The later definition replaced the earlier one, in place.
-        let entry = qd.get("v").unwrap();
-        assert!(entry.statement.to_string().contains("AS b"), "{}", entry.statement);
-        let dup = qd
-            .diagnostics
-            .iter()
-            .find(|d| d.code == DiagnosticCode::DuplicateQueryId)
-            .expect("duplicate diagnostic");
-        assert_eq!(dup.statement.as_deref(), Some("v"));
-        assert_eq!(dup.span.unwrap().line, 2);
+        // The later definition replaced the earlier one, in its slot.
+        assert_eq!(qd.ids().collect::<Vec<_>>(), vec!["a", "v", "query_1", "query_2"]);
+        let entry = &qd.entries()[1];
+        assert!(entry.statement.to_string().contains("AS new"), "{}", entry.statement);
+        let dups: Vec<_> =
+            qd.diagnostics.iter().filter(|d| d.code == DiagnosticCode::DuplicateQueryId).collect();
+        assert_eq!(dups.len(), 1);
+        assert_eq!(dups[0].statement.as_deref(), Some("v"));
+        assert_eq!(dups[0].span.unwrap().line, 4);
+        assert_lookups_agree(&qd);
+    }
+
+    /// `get`/`contains` agree with `entries()`: every entry is found in
+    /// its own slot, ids are unique, and an absent id is absent.
+    fn assert_lookups_agree(qd: &QueryDict) {
+        let ids: std::collections::BTreeSet<&str> = qd.ids().collect();
+        assert_eq!(ids.len(), qd.len(), "duplicate id in {:?}", qd.ids().collect::<Vec<_>>());
+        for entry in qd.entries() {
+            assert!(qd.contains(&entry.id), "{}", entry.id);
+            assert!(std::ptr::eq(qd.get(&entry.id).unwrap(), entry), "{}", entry.id);
+        }
+        assert!(!qd.contains("absent") && qd.get("absent").is_none());
+    }
+
+    #[test]
+    fn lookups_agree_with_entries_after_duplicates_and_anonymous_ids() {
+        let qd = QueryDict::from_sql_lenient(
+            "INSERT INTO t SELECT 1 AS a; SELECT 1 AS b; CREATE VIEW v AS SELECT 1 AS c; \
+             INSERT INTO t SELECT 2 AS a; CREATE VIEW v AS SELECT 2 AS c; SELECT 2 AS b; \
+             CREATE VIEW t AS SELECT 3 AS a; UPDATE t SET a = 4; SELECT 3 AS b",
+        );
+        assert_eq!(
+            qd.ids().collect::<Vec<_>>(),
+            vec!["t", "query_1", "v", "t#2", "query_2", "t#3", "query_3"]
+        );
+        assert!(matches!(qd.get("t").unwrap().kind, QueryKind::View { .. }));
+        assert_lookups_agree(&qd);
+        let named = QueryDict::from_named_sources_with(
+            [("m", "SELECT 1 AS a"), ("n", "SELECT 2 AS b"), ("m", "SELECT 3 AS c")],
+            true,
+        )
+        .unwrap();
+        assert_eq!(named.ids().collect::<Vec<_>>(), vec!["m", "n"]);
+        assert!(named.get("m").unwrap().statement.to_string().contains("AS c"));
+        assert_lookups_agree(&named);
+    }
+
+    #[test]
+    fn generated_ids_do_not_collide_with_later_write_targets() {
+        // A later INSERT/UPDATE into a relation named like a generated id
+        // disambiguates instead of overwriting the anonymous query.
+        let qd = QueryDict::from_sql(
+            "SELECT 1 AS a; SELECT 2 AS b; INSERT INTO query_1 SELECT 3; UPDATE query_2 SET b = 4",
+        )
+        .unwrap();
+        assert_eq!(
+            qd.ids().collect::<Vec<_>>(),
+            vec!["query_1", "query_2", "query_1#2", "query_2#2"]
+        );
+        assert_lookups_agree(&qd);
+        // Generated ids are not reserved against created relations: a
+        // later view named like one is a reported duplicate (strict
+        // fails; lenient keeps the view, with a diagnostic).
+        let sql = "SELECT 1 AS a; CREATE VIEW query_1 AS SELECT 2 AS b";
+        assert!(matches!(
+            QueryDict::from_sql(sql).unwrap_err(),
+            LineageError::DuplicateQueryId(id) if id == "query_1"
+        ));
+        let qd = QueryDict::from_sql_lenient(sql);
+        assert_eq!(qd.ids().collect::<Vec<_>>(), vec!["query_1"]);
+        assert!(matches!(qd.get("query_1").unwrap().kind, QueryKind::View { .. }));
+        assert!(qd.diagnostics.iter().any(|d| d.code == DiagnosticCode::DuplicateQueryId));
     }
 
     #[test]

@@ -32,6 +32,11 @@
 #                                    re-extraction — the sub-linear claim)
 #   * cold_start_speedup_10k >= 6 * floor    (snapshot load + publish vs
 #                                    re-parsing the SQL log)
+#   * stats_growth_10k       <= 1.3  (log2 of LineageGraph::stats() time
+#                                    at 20k over 10k views: linear is 1,
+#                                    the old all-edges rebuild read ~2)
+#   * querydict_growth_10k   <= 1.3  (the same for QueryDict::from_sql,
+#                                    parse included)
 #
 # The cold-start bound is deliberately below the headline "50x" ambition:
 # on the single-core reference machine the binary decode is string-alloc
@@ -120,6 +125,8 @@ incremental=$(json_num "$fresh_engine" speedup)
 sharded_10k=$(json_num "$fresh_engine" sharded_speedup_10k)
 refresh_10k=$(json_num "$fresh_engine" refresh_speedup_10k)
 cold_10k=$(json_num "$fresh_engine" cold_start_speedup_10k)
+stats_growth_10k=$(json_num "$fresh_engine" stats_growth_10k)
+querydict_growth_10k=$(json_num "$fresh_engine" querydict_growth_10k)
 down=$(json_num "$fresh_query" downstream_cone_qps)
 up=$(json_num "$fresh_query" upstream_closure_qps)
 mixed=$(json_num "$fresh_serve" mixed_qps)
@@ -143,6 +150,8 @@ check "incremental.speedup" "$incremental" ">=" 2
 check "sharded_speedup_10k" "$sharded_10k" ">=" "$sharded_floor"
 check "refresh_speedup_10k" "$refresh_10k" ">=" "$refresh_floor"
 check "cold_start_speedup_10k" "$cold_10k" ">=" "$cold_floor"
+check "stats_growth_10k" "$stats_growth_10k" "<=" 1.3
+check "querydict_growth_10k" "$querydict_growth_10k" "<=" 1.3
 check "downstream_cone_qps vs committed floor" "$down" ">=" "$down_floor"
 check "upstream_closure_qps vs committed floor" "$up" ">=" "$up_floor"
 check "serve mixed_qps vs committed floor" "$mixed" ">=" "$mixed_floor"
